@@ -274,9 +274,6 @@ class RunHandle:
                 writer.finalize(result, wall_seconds=self._wall_seconds)
                 writer = None
         finally:
-            executor = getattr(experiment.cluster, "batched_executor", None)
-            if executor is not None:
-                executor.close()
             if writer is not None:  # stream abandoned mid-run
                 writer.abort()
 

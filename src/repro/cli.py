@@ -273,15 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         "either way (default: the config's batched_execution, i.e. auto)",
     )
     run_p.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard the batched compute plane across N worker processes "
-        "(hierarchical edge/root aggregation); results are bitwise identical "
-        "to the single-process run (default: the config's shards, i.e. 1)",
-    )
-    run_p.add_argument(
         "--resume",
         action="store_true",
         help="continue an interrupted run of this exact configuration from its "
@@ -504,13 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="--engine discarded warmup runs per benchmark (default: 3, or 1 at smoke scale)",
     )
     bench_p.add_argument(
-        "--shard",
-        action="store_true",
-        help="benchmark the sharded compute plane instead: round-throughput "
-        "ladder over worker counts plus per-worker peak RSS and a "
-        "continent-scale completion check, writing BENCH_shard.json",
-    )
-    bench_p.add_argument(
         "--serve",
         action="store_true",
         help="benchmark the service mode instead: start a `repro serve` "
@@ -632,12 +616,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         spec = spec.override(checkpoint_interval=args.checkpoint_interval)
     if args.batched is not None:
         spec = spec.override(batched_execution=args.batched)
-    if args.shards is not None:
-        spec = spec.override(shards=args.shards)
-        if args.batched is None:
-            # Sharding rides on the batched engine; small scales would
-            # otherwise fall under the auto threshold and shard nothing.
-            spec = spec.override(batched_execution="on")
     if (args.resume or args.checkpoint_interval is not None) and not (
         args.results_dir or os.environ.get("REPRO_RESULTS_DIR")
     ):
@@ -848,22 +826,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
 
-def _cmd_bench_shard(args: argparse.Namespace, scale: ScaleProfile) -> int:
-    """Sharded compute-plane benchmark: throughput ladder + RSS ceiling."""
-    from repro.simulation.shard_bench import render_shard_bench, run_shard_bench
-
-    output = args.output if args.output != "BENCH_engine.json" else "BENCH_shard.json"
-    quick = scale.name == "smoke"
-    print(
-        f"benchmarking sharded execution ({'quick' if quick else 'full'} ladder) ...",
-        file=sys.stderr,
-    )
-    results = run_shard_bench(quick=quick, output=output)
-    print(render_shard_bench(results))
-    print(f"\nresults written to {output}")
-    return 0
-
-
 def _cmd_bench_serve(args: argparse.Namespace, scale: ScaleProfile) -> int:
     """Service-mode benchmark: loadgen against a `repro serve` subprocess."""
     from repro.serve.loadgen import render_loadgen, run_loadgen
@@ -895,8 +857,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     _apply_dtype(args)
     if args.engine:
         return _cmd_bench_engine(args, scale)
-    if args.shard:
-        return _cmd_bench_shard(args, scale)
     if args.serve:
         return _cmd_bench_serve(args, scale)
     configs = _grid_configs(

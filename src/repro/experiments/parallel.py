@@ -64,14 +64,8 @@ MATERIALIZATION_FIELDS = ("client_pool", "pool_slots")
 #: (pinned by tests/test_resume.py), so they must share cache and store
 #: entries.  ``batched_execution`` likewise: the batched engine reproduces
 #: the per-client path bitwise (pinned by tests/test_batched_engine.py).
-#: ``shards`` joins too: sharded and single-process execution are bitwise
-#: identical (pinned by tests/test_shard.py) — except under
-#: ``shard_aggregate="partial"``, where :func:`canonical_config` re-adds it.
-EXECUTION_FIELDS = MATERIALIZATION_FIELDS + (
-    "checkpoint_interval",
-    "batched_execution",
-    "shards",
-)
+#: Store keys are pinned by literals in tests/test_run_store.py.
+EXECUTION_FIELDS = MATERIALIZATION_FIELDS + ("checkpoint_interval", "batched_execution")
 
 
 # ---------------------------------------------------------------------------
@@ -104,16 +98,6 @@ def canonical_config(config: ExperimentConfig) -> Dict[str, object]:
         dataclasses.asdict(TransportConfig())
     ):
         canonical.pop("transport", None)
-    # The exact shard-aggregation mode is bitwise identical to the flat
-    # reduction, so (like the null transport) it is dropped and archives
-    # written before the field existed keep their keys.  The partial mode
-    # changes the float reduction order: it stays in the canonical form
-    # *and* makes the shard topology result-relevant, so ``shards`` is
-    # re-added alongside it.
-    if canonical.get("shard_aggregate", "exact") == "exact":
-        canonical.pop("shard_aggregate", None)
-    else:
-        canonical["shards"] = config.shards
     return canonical
 
 

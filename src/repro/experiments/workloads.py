@@ -162,11 +162,11 @@ register_scale(
     ),
     description="metro-sized cohort (5k clients, 64 per round, virtualized pool)",
 )
-# The sharded compute plane's flagship: one training sample per client
-# (iid array_split over a 100k-sample synthetic set keeps every shard
-# batch uniform), 128 participants per round dispatched to the shard
-# workers (``--shards``); per-worker RSS stays bounded because workers
-# receive only the participants' slices, never the cohort.
+# The in-process event-loop and churn workload: one training sample per
+# client (iid array_split over a 100k-sample synthetic set keeps every
+# batch uniform) and 128 participants per round over the virtualized
+# pool.  Dataset generation dominates set-up, and event dispatch, churn
+# and cluster membership dominate the run; peak RSS is about 1.25 GB.
 register_scale(
     "continent",
     ScaleProfile(
@@ -180,7 +180,7 @@ register_scale(
         test_size=500,
         batch_size=4,
     ),
-    description="continent-sized cohort (100k clients, 128 per round, sharded workers)",
+    description="continent-sized cohort (100k clients, 128 per round, in-process event loop)",
 )
 
 #: Dict-like facade over the scale registry, kept for the historical

@@ -50,9 +50,9 @@ from typing import List, Optional, Tuple
 
 #: Bump when the snapshot layout changes; stale checkpoints are ignored
 #: (the run restarts from scratch rather than resuming wrongly).
-#: 3: snapshots grew the ``"shard"`` section — the sharded executor's
-#:    merged per-shard state (seed streams, cumulative counters, per-worker
-#:    stats/RSS) — ``None`` for unsharded runs.
+#: 3: snapshots grew a ``"shard"`` section for the since-removed
+#:    multi-process executor.  It is no longer written, and restore never
+#:    reads it, so format-3 checkpoints that still carry it stay valid.
 CHECKPOINT_FORMAT = 3
 
 
@@ -108,14 +108,6 @@ def capture_snapshot(experiment) -> Optional[dict]:
     ):
         return None
 
-    # The sharded compute plane schedules no events and holds no round
-    # state at a capture boundary (workers idle between rounds); its
-    # contribution is the merged per-shard bookkeeping.
-    executor = getattr(cluster, "batched_executor", None)
-    shard_state = (
-        executor.shard_snapshot() if hasattr(executor, "shard_snapshot") else None
-    )
-
     return {
         "format": CHECKPOINT_FORMAT,
         "run_key": None,  # filled in by the writer
@@ -130,7 +122,6 @@ def capture_snapshot(experiment) -> Optional[dict]:
         "dynamics": dynamics_state,
         "messages": messages,
         "transport": transport_state,
-        "shard": shard_state,
     }
 
 
@@ -163,10 +154,6 @@ def restore_snapshot(experiment, snapshot: dict) -> None:
 
     federator.restore_checkpoint_state(snapshot["federator"])
     federator.result.rounds.extend(snapshot["records"])
-
-    executor = getattr(cluster, "batched_executor", None)
-    if hasattr(executor, "restore_shard_snapshot"):
-        executor.restore_shard_snapshot(snapshot.get("shard"))
 
     if experiment.dynamics is not None and snapshot["dynamics"] is not None:
         experiment.dynamics.restore_state(snapshot["dynamics"])

@@ -364,31 +364,6 @@ class ExperimentConfig:
     #: ``config_hash``/``run_key``.
     batched_execution: str = "auto"
 
-    # Sharded multi-process simulation
-    #: Number of worker processes the batched compute plane shards the
-    #: cohort across.  ``1`` (the default) keeps everything in-process;
-    #: ``N >= 2`` partitions the client population into N contiguous
-    #: ownership ranges and dispatches each cohort's lanes to the owning
-    #: shard workers.  Sharded execution is bitwise identical to the
-    #: single-process path (pinned by tests), so — like ``client_pool``
-    #: and ``batched_execution`` — the field is an execution knob excluded
-    #: from ``config_hash``/``run_key`` (except under
-    #: ``shard_aggregate="partial"``, which makes the shard topology
-    #: results-relevant; see below).  Sharding requires batched execution
-    #: and a synchronous federator; otherwise it is inert.
-    shards: int = 1
-
-    #: How the hierarchical aggregation tree reduces shard traffic:
-    #: ``"exact"`` (default) concatenates the edge aggregators' blocks in
-    #: shard order — bitwise identical to the flat single-process
-    #: reduction because shard ownership is contiguous in client-id
-    #: order — while ``"partial"`` has each edge reduce its own block to a
-    #: per-shard partial average that the root merges by shard sample
-    #: counts (mathematically equivalent, not bitwise; results then depend
-    #: on the shard topology, so ``"partial"`` makes both this field and
-    #: ``shards`` hash-relevant).
-    shard_aggregate: str = "exact"
-
     # Checkpointing
     #: Write a resumable mid-run checkpoint into the run's store directory
     #: every this many completed (virtual) rounds; ``None`` disables
@@ -441,13 +416,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown batched_execution mode {self.batched_execution!r}; "
                 "valid: auto, on, off"
-            )
-        if self.shards < 1:
-            raise ValueError("shards must be at least 1")
-        if self.shard_aggregate not in {"exact", "partial"}:
-            raise ValueError(
-                f"unknown shard_aggregate mode {self.shard_aggregate!r}; "
-                "valid: exact, partial"
             )
         if self.checkpoint_interval is not None and self.checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be at least 1 when set")
@@ -512,8 +480,21 @@ def config_from_dict(payload: Dict[str, object]) -> ExperimentConfig:
     submissions.  Unknown keys raise ``TypeError`` like the dataclass
     constructor would, so a manifest from an incompatible version fails
     loudly instead of running a silently different experiment.
+
+    Manifests written before the multi-process shard plane was removed
+    carry ``shards`` and ``shard_aggregate``.  Under the default
+    ``shard_aggregate="exact"`` neither changed results, so both keys are
+    dropped; a ``"partial"`` run cannot be reproduced any more and raises
+    ``ValueError``.
     """
     payload = dict(payload)
+    shard_aggregate = payload.pop("shard_aggregate", "exact")
+    if shard_aggregate != "exact":
+        raise ValueError(
+            f"shard_aggregate={shard_aggregate!r} is a retired execution mode; "
+            "its results cannot be reproduced"
+        )
+    payload.pop("shards", None)
     payload["resources"] = ResourceConfig(**dict(payload.get("resources") or {}))
     payload["dynamics"] = DynamicsConfig(**dict(payload.get("dynamics") or {}))
     payload["transport"] = TransportConfig(**dict(payload.get("transport") or {}))

@@ -68,14 +68,9 @@ class ExperimentHandle:
 
     def run(self) -> ExperimentResult:
         """Start the federator and run the simulation to completion."""
-        try:
-            self.federator.start()
-            self.cluster.run()
-            return self.federator.result
-        finally:
-            executor = getattr(self.cluster, "batched_executor", None)
-            if executor is not None:
-                executor.close()
+        self.federator.start()
+        self.cluster.run()
+        return self.federator.result
 
 
 def _build_profiles(resources: ResourceConfig, num_clients: int, rng: np.random.Generator) -> List[ResourceProfile]:
@@ -215,21 +210,6 @@ def uses_batched_execution(config: ExperimentConfig) -> bool:
     return config.effective_clients_per_round >= BATCHED_AUTO_MIN_CLIENTS
 
 
-def uses_sharded_execution(config: ExperimentConfig) -> bool:
-    """Whether this configuration shards the compute plane across workers.
-
-    Sharding rides on the batched engine (its cohorts are what gets
-    dispatched) and on the synchronous round structure (async federators
-    never plan cohorts, so worker processes would only idle).  Results
-    are bitwise identical either way; this gate only decides whether
-    worker processes are worth spawning.
-    """
-    if config.shards < 2 or not uses_batched_execution(config):
-        return False
-    federator_cls = federator_class(config.algorithm)
-    return bool(getattr(federator_cls, "checkpoint_bootstraps_round", True))
-
-
 def _build_experiment(config: ExperimentConfig, dtype: np.dtype) -> ExperimentHandle:
     rng = np.random.default_rng(config.seed)
 
@@ -283,19 +263,7 @@ def _build_experiment(config: ExperimentConfig, dtype: np.dtype) -> ExperimentHa
             build_transport(cluster.network, cluster.env, transport_cfg, seed=config.seed)
         )
 
-    if uses_sharded_execution(config):
-        # Sharded compute plane: cohorts dispatch to worker processes, and
-        # the hierarchical aggregation tree hangs off the executor.
-        from repro.simulation.shard import ShardedClientExecutor
-
-        cluster.batched_executor = ShardedClientExecutor(
-            num_shards=config.shards,
-            num_clients=config.num_clients,
-            architecture=config.architecture,
-            seed=config.seed,
-            aggregate_mode=config.shard_aggregate,
-        )
-    elif uses_batched_execution(config):
+    if uses_batched_execution(config):
         # Installed before any client registers so every FLClient discovers
         # it at construction time; async federators never plan rounds
         # through it, so it is inert (but harmless) for them.

@@ -1309,9 +1309,6 @@ class BatchedLane:
 class _Cohort:
     """One lockstep group: shared arenas, shadow loaders, wave counter."""
 
-    #: Lane handle class; the sharded executor swaps in its remote lane.
-    lane_cls = BatchedLane
-
     def __init__(
         self,
         executor: "BatchedClientExecutor",
@@ -1351,7 +1348,7 @@ class _Cohort:
         state.start_loader_state = client.loader.state()
         if self.trace is None:
             self.trace = phase_flops(client.model, self.batch_n, self.input_shape)
-        return self.lane_cls(self, state)
+        return BatchedLane(self, state)
 
     def _start(self) -> None:
         self.started = True
@@ -1427,9 +1424,6 @@ class BatchedClientExecutor:
     cohorts; lanes of dropped stragglers stay live until they materialize
     or abandon.
     """
-
-    #: Cohort class; the sharded executor swaps in its remote cohort.
-    cohort_cls = _Cohort
 
     def __init__(self, backend: Optional[ArrayBackend] = None) -> None:
         self.backend = backend if backend is not None else get_array_backend()
@@ -1522,7 +1516,7 @@ class BatchedClientExecutor:
                     for section in global_model.SECTIONS
                 }
                 globals_cache[cache_key] = section_globals
-            cohort = self.cohort_cls(self, key, round_number, group, section_globals)
+            cohort = _Cohort(self, key, round_number, group, section_globals)
             for client_id, _, _ in group:
                 self._plan[client_id] = cohort
             self._live.append(cohort)
@@ -1549,9 +1543,6 @@ class BatchedClientExecutor:
             if cohort.round_number == round_number:
                 cohort.closing = True
                 self._maybe_release(cohort)
-
-    def close(self) -> None:
-        """Release executor-held resources (worker pools in subclasses)."""
 
     # ------------------------------------------------------------- internals
     def _cohort_kernels(self, key: tuple, lanes: int, template: SplitCNN):

@@ -13,8 +13,9 @@ Three layers of pinning:
 * kernel level: a full parity matrix over the architecture registry plus
   forced slow-probe fallbacks and max-pool tie/NaN torture inputs;
 * round level: batched-on runs reproduce the per-client rounds (and the
-  golden smoke summaries) byte-for-byte, through offload divergence,
-  churn, the virtualized client pool and SIGKILL crash/resume;
+  golden smoke summaries) byte-for-byte for every registered federator
+  under stable and churn, through offload divergence, the virtualized
+  client pool and SIGKILL crash/resume;
 * planner level: ragged shards, singleton groups and late activations
   fall back to the per-client path instead of batching unsafely.
 """
@@ -35,7 +36,7 @@ from repro.api import RunStore, run, run_key
 from repro.data.loader import BatchLoader
 from repro.experiments.workloads import SCALES, evaluation_config
 from repro.fl.config import ResourceConfig
-from repro.fl.runtime import build_experiment, uses_batched_execution
+from repro.fl.runtime import available_algorithms, build_experiment, uses_batched_execution
 from repro.nn.architectures import ARCHITECTURES, build_model
 from repro.nn.batched import (
     BatchedClientExecutor,
@@ -312,6 +313,16 @@ def test_churn_scenario_is_bitwise_identical_with_batching():
         _smoke_config("fedavg", "iid", "churn", batched_execution="off", **kwargs),
     )
     assert stats["waves"] > 0
+
+
+@pytest.mark.parametrize("scenario", ["stable", "churn"])
+@pytest.mark.parametrize("algorithm", available_algorithms())
+def test_every_federator_is_bitwise_identical_with_batching(algorithm, scenario):
+    kwargs = dict(train_size=384)
+    _assert_bitwise_equal_runs(
+        _smoke_config(algorithm, "iid", scenario, batched_execution="on", **kwargs),
+        _smoke_config(algorithm, "iid", scenario, batched_execution="off", **kwargs),
+    )
 
 
 def test_virtual_pool_runs_bitwise_identical_with_batching():

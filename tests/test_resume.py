@@ -26,8 +26,9 @@ import pytest
 import repro.api as api
 from crash_harness import read_rounds_bytes, round_dicts, run_and_crash
 from repro.api import RunStore, run, run_key
-from repro.api.store import CHECKPOINT_NAME
-from repro.fl.checkpoint import capture_snapshot, load_checkpoint
+from repro.api.store import CHECKPOINT_NAME, MANIFEST_NAME
+from repro.fl.checkpoint import capture_snapshot, load_checkpoint, write_checkpoint
+from repro.fl.config import config_from_dict
 from repro.fl.runtime import build_experiment
 
 ALL_ALGORITHMS = [
@@ -144,6 +145,38 @@ def test_sigkill_crash_resumes_bitwise_identical(algorithm, scenario, tmp_path):
 
     resumed = run(config, store=store, resume=True)
     assert_bitwise_resume(config, golden, golden_store, resumed, store)
+
+
+def test_run_stored_with_shard_fields_resumes_bitwise_identical(tmp_path):
+    """Manifests and checkpoints written while the multi-process shard
+    plane existed carry ``shards``/``shard_aggregate`` and a ``"shard"``
+    snapshot section; a restarted server must still resume them."""
+    config = make_config("fedavg", scenario="stable")
+    golden, golden_store = golden_run(config, tmp_path)
+
+    store_dir = tmp_path / "crashed"
+    run_and_crash(config, store_dir, crash_round=2)
+    store = RunStore(store_dir)
+    run_dir = store.run_dir(run_key(config))
+    manifest_path = run_dir / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"].update(shards=1, shard_aggregate="exact")
+    manifest_path.write_text(json.dumps(manifest))
+    checkpoint_path = run_dir / CHECKPOINT_NAME
+    snapshot = load_checkpoint(checkpoint_path, run_key=run_key(config))
+    assert snapshot is not None
+    write_checkpoint(checkpoint_path, {**snapshot, "shard": None})
+
+    # The server's restart path: rebuild the config from the manifest.
+    (stored,) = store.scan()["resumable"]
+    restored = stored.load_config()
+    assert run_key(restored) == run_key(config)
+    resumed = run(restored, store=store, resume=True)
+    assert_bitwise_resume(config, golden, golden_store, resumed, store)
+
+    manifest["config"]["shard_aggregate"] = "partial"
+    with pytest.raises(ValueError, match="partial"):
+        config_from_dict(manifest["config"])
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,37 @@ class TestRunStoreRoundTrip:
         # ... unlike the result cache's key, which deliberately changes.
         assert parallel.config_hash(smoke_eval_config) != cache_before
 
+    def test_store_keys_are_pinned(self):
+        """Deleting an execution knob must not re-key the archive.
+
+        ``config_hash`` also salts in the package version and
+        ``CACHE_FORMAT``; update its literal only when one of them is
+        bumped on purpose."""
+        from repro.experiments.parallel import config_hash
+
+        smoke = evaluation_config(
+            "mnist", "fedavg", "iid", SCALES["smoke"], seed=42, dtype="float32"
+        )
+        assert run_key(smoke) == (
+            "55cdc3b6ef4b49fead9d967789db290171468ddb2b371f6997115f28bddb037c"
+        )
+        assert config_hash(smoke) == (
+            "65f588fff8f4c87405138a5983c98f68b395c6d25eff8cbf558c4aadb5cf76fe"
+        )
+        bench = evaluation_config(
+            "fmnist", "aergia", "noniid", SCALES["bench"], seed=42, dtype="float32"
+        )
+        assert run_key(bench) == (
+            "d4da9ed686caba8fc756a6d1097adfb2d349ca8e349dde6b4f4c4db9207bcef4"
+        )
+        city = evaluation_config(
+            "mnist", "fedavg", "noniid", SCALES["city"], seed=42, dtype="float32",
+            scenario="lossy-churn",
+        )
+        assert run_key(city) == (
+            "3f34a967bc17e15b673bacf4af15b4f899f9075be1811b77010f1ec4653a60ed"
+        )
+
     def test_run_key_covers_the_effective_dtype(self, smoke_eval_config):
         assert run_key(smoke_eval_config) != run_key(
             smoke_eval_config.with_overrides(dtype="float64")
