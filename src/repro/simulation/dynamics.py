@@ -25,20 +25,27 @@ configuration always produces the identical trace — including across
 process boundaries (the parallel sweep runner).
 
 The driver re-schedules follow-up events from inside its callbacks, which
-would keep the event queue non-empty forever; the ``stop_when`` predicate
-(typically ``lambda: federator.finished``) makes every callback a no-op
-once the experiment is over so the simulation can drain.
+would keep the event queue non-empty forever.  The ``stop_when`` predicate
+(typically ``lambda: federator.finished``) halts the scenario: the first
+dynamics callback that finds it true cancels, in one pass, every pending
+event that could no longer act (churn windows, burst and trace arrivals,
+check-ins), so they are never dispatched.  Pending restores still fire, so
+no client is left slowed, throttled or lossy.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.fl.config import DynamicsConfig
 from repro.simulation.cluster import SimulatedCluster
 from repro.simulation.events import Event
+
+#: Event kinds that still act after ``stop_when`` flips: they end bursts
+#: and traces, so no client stays slowed, throttled or lossy.
+_RESTORES = frozenset({"restore_speed", "restore_link", "restore_loss"})
 
 
 class ScenarioDynamics:
@@ -54,9 +61,10 @@ class ScenarioDynamics:
     seed:
         Experiment seed; the driver derives its own independent stream.
     stop_when:
-        Optional predicate checked at the start of every dynamics callback;
-        once it returns ``True`` the driver stops acting and stops
-        re-scheduling, letting the event queue drain.
+        Optional predicate checked at the start of every dynamics callback
+        except the restores.  Once it returns ``True`` the scenario halts: it
+        cancels its pending non-restore events, and every later callback of
+        those kinds is a no-op, so only the restores are left to fire.
     """
 
     def __init__(
@@ -77,6 +85,7 @@ class ScenarioDynamics:
             np.random.SeedSequence(entropy=seed, spawn_key=(0xD1A,))
         )
         self._installed = False
+        self._halted = False
 
         #: Pending dynamics events: handle -> (event, kind, args).  All
         #: scheduling goes through :meth:`_schedule`, so the driver's future
@@ -135,8 +144,25 @@ class ScenarioDynamics:
     def _exp(self, mean: float) -> float:
         return float(self._rng.exponential(mean))
 
+    def _random_client(self) -> int:
+        # Client ids are 0..n-1, and choice(n) draws exactly as choice over
+        # that id list does, without building it.
+        return int(self._rng.choice(self.cluster.num_clients))
+
     def _stopped(self) -> bool:
-        return self._stop_when is not None and self._stop_when()
+        if self._halted:
+            return True
+        if self._stop_when is None or not self._stop_when():
+            return False
+        self._halt()
+        return True
+
+    def _halt(self) -> None:
+        """Cancel every pending event that is a no-op once stopped."""
+        self._halted = True
+        pending = self._pending
+        for handle in [h for h, (_event, kind, _args) in pending.items() if kind not in _RESTORES]:
+            pending.pop(handle)[0].cancel()
 
     # ------------------------------------------------------ event bookkeeping
     def _schedule(self, delay: float, kind: str, args: tuple = ()) -> Event:
@@ -215,8 +241,7 @@ class ScenarioDynamics:
         if self._stopped():
             return
         d = self.dynamics
-        clients: List[int] = self.cluster.client_ids
-        client_id = int(self._rng.choice(clients))
+        client_id = self._random_client()
         factor = float(self._rng.uniform(d.bandwidth_low_factor, d.bandwidth_high_factor))
         self.bandwidth_events += 1
         self._link_trace_counter += 1
@@ -239,8 +264,7 @@ class ScenarioDynamics:
         if self._stopped():
             return
         d = self.dynamics
-        clients: List[int] = self.cluster.client_ids
-        client_id = int(self._rng.choice(clients))
+        client_id = self._random_client()
         self.loss_burst_events += 1
         self._loss_burst_counter += 1
         token = self._loss_burst_counter
@@ -269,10 +293,10 @@ class ScenarioDynamics:
         (use :meth:`repro.api.RunHandle.inject` from other threads).
         """
         client_id = int(client_id)
-        if not 0 <= client_id < len(self.cluster.client_ids):
+        num_clients = self.cluster.num_clients
+        if not 0 <= client_id < num_clients:
             raise ValueError(
-                f"check-in for unknown client {client_id} "
-                f"(cohort has {len(self.cluster.client_ids)} clients)"
+                f"check-in for unknown client {client_id} (cohort has {num_clients} clients)"
             )
         return self._schedule(float(delay), "checkin", (client_id, bool(online)))
 

@@ -8,62 +8,103 @@ order, which keeps runs deterministic.
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from heapq import heapify, heappop, heappush
+from typing import Callable, List, Optional, Tuple
 
 
-@dataclass(order=True)
 class Event:
     """A scheduled callback.
 
-    Events are ordered by ``(time, sequence)`` so that ties are broken by
-    insertion order.  A cancelled event stays in the heap but is skipped
-    when popped.
+    Events fire in ``(time, sequence)`` order, so ties are broken by
+    insertion order.  A cancelled event stays in the heap until it is
+    popped or the queue compacts, and never fires.
     """
 
-    time: float
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    __slots__ = ("time", "sequence", "callback", "cancelled", "_queue")
+
+    def __init__(self, time: float, sequence: int, callback: Callable[[], None]) -> None:
+        self.time = time
+        self.sequence = sequence
+        self.callback = callback
+        self.cancelled = False
+        #: The queue holding this event while it waits to fire; ``None``
+        #: once it has been popped (or if it was never queued).
+        self._queue: Optional[EventQueue] = None
 
     def cancel(self) -> None:
         """Mark the event so it is skipped when its time comes."""
+        if self.cancelled:
+            return
         self.cancelled = True
+        if self._queue is not None:
+            self._queue._discard()
 
 
 class EventQueue:
-    """A priority queue of :class:`Event` objects."""
+    """A priority queue of :class:`Event` objects.
+
+    Heap entries are ``(time, sequence, event)`` tuples: sequences are
+    unique, so ordering never reaches the event and every sift compares in
+    C.  The queue counts its live entries, which makes ``len()`` O(1), and
+    drops cancelled entries with one ``heapify`` once they outnumber the
+    live ones.
+    """
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._counter = itertools.count()
+        self._live = 0
+        self._cancelled = 0
 
     def push(self, time: float, callback: Callable[[], None]) -> Event:
-        event = Event(time=time, sequence=next(self._counter), callback=callback)
-        heapq.heappush(self._heap, event)
+        sequence = next(self._counter)
+        event = Event(time, sequence, callback)
+        event._queue = self
+        heappush(self._heap, (time, sequence, event))
+        self._live += 1
         return event
 
     def pop(self) -> Optional[Event]:
         """Pop the earliest non-cancelled event, or ``None`` when empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if not event.cancelled:
-                return event
+        heap = self._heap
+        while heap:
+            event = heappop(heap)[2]
+            if event.cancelled:
+                self._cancelled -= 1
+                continue
+            event._queue = None
+            self._live -= 1
+            return event
         return None
 
     def peek_time(self) -> Optional[float]:
         """Time of the earliest pending event, or ``None`` when empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heappop(heap)
+            self._cancelled -= 1
+        return heap[0][0] if heap else None
+
+    def _discard(self) -> None:
+        """Account for a queued event that was just cancelled."""
+        self._live -= 1
+        self._cancelled += 1
+        if self._cancelled > self._live:
+            self._compact()
+
+    def _compact(self) -> None:
+        # The (time, sequence) keys are unique, so pop order does not depend
+        # on the heap's layout and compaction cannot reorder anything.
+        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
+        heapify(self._heap)
+        self._cancelled = 0
 
     def __len__(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
+        return self._live
 
     def __bool__(self) -> bool:
-        return len(self) > 0
+        return self._live > 0
 
 
 class SimulationEnvironment:
@@ -107,10 +148,9 @@ class SimulationEnvironment:
     def step(self) -> bool:
         """Process the next pending event; ``False`` when the queue is empty.
 
-        Equivalent to one iteration of :meth:`run`, but O(log n) — unlike
-        ``pending_events()``, it never scans the heap, so callers that pump
-        the simulation one event at a time (the streaming run handles) pay
-        the same total cost as a single :meth:`run` call.
+        Equivalent to one iteration of :meth:`run` and O(log n), so callers
+        that pump the simulation one event at a time (the streaming run
+        handles) pay the same total cost as a single :meth:`run` call.
         """
         event = self._queue.pop()
         if event is None:
@@ -131,24 +171,22 @@ class SimulationEnvironment:
         max_events:
             Safety limit on the number of events to process.
         """
+        queue = self._queue
         processed = 0
         while True:
-            next_time = self._queue.peek_time()
-            if next_time is None:
-                break
-            if until is not None and next_time > until:
-                self.now = until
-                break
+            if until is not None:
+                next_time = queue.peek_time()
+                if next_time is None:
+                    break
+                if next_time > until:
+                    self.now = until
+                    break
             if max_events is not None and processed >= max_events:
                 break
-            event = self._queue.pop()
-            if event is None:  # pragma: no cover - guarded by peek_time
+            if not self.step():
                 break
-            self.now = event.time
-            event.callback()
             processed += 1
-            self._events_processed += 1
 
     def pending_events(self) -> int:
-        """Number of events still waiting to fire."""
+        """Number of events still waiting to fire (O(1))."""
         return len(self._queue)

@@ -11,6 +11,8 @@ the next round.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -372,6 +374,66 @@ class TestScenarioExperiments:
         )
         result = run_experiment(config)
         assert result.num_rounds == config.rounds
+
+
+# ---------------------------------------------------------------------------
+# The post-finish halt
+# ---------------------------------------------------------------------------
+class TestPostFinishHalt:
+    RESTORES = {"restore_speed", "restore_link", "restore_loss"}
+
+    def test_city_churn_halts_but_restores_every_client(self):
+        # City-scale churn with slowdown bursts, bandwidth traces and loss
+        # bursts that arrive often and hold long, so restores are still
+        # pending when the last round finalizes.
+        city = SCALES["city"]
+        config = evaluation_config(
+            "mnist", "fedavg", "iid", city, seed=5, scenario="partition-storm",
+            rounds=2, train_size=2000,
+        )
+        mega = scenario_dynamics("mega-churn", city)
+        storm = config.dynamics
+        config = dataclasses.replace(
+            config,
+            dynamics=dataclasses.replace(
+                mega,
+                slowdown_rate_per_s=4 * mega.slowdown_rate_per_s,
+                mean_slowdown_s=20 * mega.mean_slowdown_s,
+                bandwidth_rate_per_s=4 * mega.bandwidth_rate_per_s,
+                mean_bandwidth_hold_s=20 * mega.mean_bandwidth_hold_s,
+                loss_burst_rate_per_s=4 * storm.loss_burst_rate_per_s,
+                loss_burst_drop_rate=storm.loss_burst_drop_rate,
+                mean_loss_burst_s=20 * storm.mean_loss_burst_s,
+            ),
+        )
+        experiment = build_experiment(config)
+        cluster, dynamics, federator = experiment.cluster, experiment.dynamics, experiment.federator
+        base_speeds = {cid: cluster.profile(cid).speed_fraction for cid in cluster.client_ids}
+        dispatched = []
+
+        def record(kind, handler):
+            def wrapped(self, *args):
+                dispatched.append((kind, federator.finished))
+                return handler(self, *args)
+
+            return wrapped
+
+        # _fire looks handlers up on the instance, so this sees every event.
+        dynamics._DISPATCH = {kind: record(kind, fn) for kind, fn in dynamics._DISPATCH.items()}
+        experiment.run()
+
+        after = [kind for kind, finished in dispatched if finished]
+        # Only the callback that finds the run finished (and halts) may be
+        # a no-op kind; everything else dispatched afterwards is a restore.
+        assert sum(kind not in self.RESTORES for kind in after) <= 1
+        assert self.RESTORES <= set(after), after
+        # The restores ran: every client is back at its baseline.
+        assert dynamics._active_slowdowns == {}
+        assert {cid: cluster.profile(cid).speed_fraction for cid in base_speeds} == base_speeds
+        assert cluster.network.capture_link_overrides() == []
+        assert cluster.network.fault_profile.capture_state()["link_drop"] == []
+        assert dynamics.pending_count() == 0
+        assert cluster.env.pending_events() == 0
 
 
 # ---------------------------------------------------------------------------

@@ -395,6 +395,107 @@ class TestEventCancellationSemantics:
         assert fired == []
 
 
+_QUEUE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.5, 2.5, 4.0])),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=63)),
+        st.tuples(st.just("step"), st.none()),
+        st.tuples(st.just("peek"), st.none()),
+        st.tuples(st.just("run_until"), st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+    ),
+    max_size=80,
+)
+
+
+class TestEventQueueAgainstModel:
+    """The queue against a brute-force model: every live event, sorted."""
+
+    @staticmethod
+    def _check_counts(queue: EventQueue, live: dict) -> None:
+        heap = queue._heap
+        scanned = sum(1 for entry in heap if not entry[2].cancelled)
+        assert len(queue) == scanned == len(live)
+        assert bool(queue) == bool(live)
+        assert queue._cancelled == len(heap) - scanned
+        # Compaction must leave a valid heap behind.
+        assert all(heap[(i - 1) // 2] <= heap[i] for i in range(1, len(heap)))
+
+    @given(_QUEUE_OPS)
+    @settings(max_examples=300, deadline=None)
+    def test_fire_order_matches_a_sorted_model(self, ops):
+        env = SimulationEnvironment()
+        queue = env._queue
+        fired = []
+        events = []
+        live = {}  # sequence -> (time, sequence) of events still to fire
+        for op, arg in ops:
+            if op == "push":
+                event = env.schedule(arg, lambda n=len(events): fired.append(n))
+                events.append(event)
+                live[event.sequence] = (event.time, event.sequence)
+            elif op == "cancel" and events:
+                # Any event ever pushed: covers double cancels and cancels
+                # of events that already fired.
+                event = events[arg % len(events)]
+                event.cancel()
+                live.pop(event.sequence, None)
+            elif op == "step":
+                expected = min(live.values()) if live else None
+                assert env.step() is (expected is not None)
+                if expected is not None:
+                    assert fired[-1] == expected[1]
+                    assert env.now == expected[0]
+                    del live[expected[1]]
+            elif op == "peek":
+                assert queue.peek_time() == (min(live.values())[0] if live else None)
+            elif op == "run_until":
+                until = env.now + arg
+                due = sorted(key for key in live.values() if key[0] <= until)
+                before = len(fired)
+                env.run(until=until)
+                assert fired[before:] == [sequence for _time, sequence in due]
+                for _time, sequence in due:
+                    del live[sequence]
+                if live:
+                    assert env.now == until
+                elif due:
+                    assert env.now == due[-1][0]
+            self._check_counts(queue, live)
+        # Sequences are assigned in push order, so the model's tie-break
+        # is FIFO; draining must still honour it after any compaction.
+        rest = sorted(live.values())
+        before = len(fired)
+        env.run()
+        assert fired[before:] == [sequence for _time, sequence in rest]
+        self._check_counts(queue, {})
+
+    def test_compaction_keeps_time_order(self):
+        env = SimulationEnvironment()
+        fired = []
+        times = [float(t) for t in np.random.default_rng(3).permutation(20)]
+        events = {t: env.schedule(t, lambda t=t: fired.append(t)) for t in times}
+        # Cancelling the eleven earliest leaves them outnumbering the live
+        # nine, so the queue compacts with the old root gone.
+        for t in range(11):
+            events[float(t)].cancel()
+        assert len(env._queue._heap) == 9
+        env.run()
+        assert fired == [float(t) for t in range(11, 20)]
+
+    def test_fifo_ties_survive_compaction(self):
+        env = SimulationEnvironment()
+        queue = env._queue
+        fired = []
+        events = [env.schedule(1.0, lambda i=i: fired.append(i)) for i in range(10)]
+        for event in events[1::2] + events[:2]:
+            event.cancel()
+        # Six cancelled, four live: the queue compacted down to the live.
+        assert len(queue._heap) == len(queue) == 4
+        env.run()
+        assert fired == [2, 4, 6, 8]
+        assert env.pending_events() == 0
+
+
 class TestLocalClockRoundTrip:
     """Offset/drift round-tripping between global and local time."""
 
